@@ -26,7 +26,8 @@ func chaosCfg(workers int) Config {
 		Domain:          Dim3{X: 24, Y: 24, Z: 12},
 		Radius:          1,
 		Quantities:      2,
-		Capabilities:    CapsAll(),
+		Caps:            CapsAll(),
+		NodeAware:       true,
 		RealData:        true,
 		Adaptive:        true,
 		CheckpointEvery: 2,

@@ -48,7 +48,8 @@ func run(args []string, out io.Writer) error {
 		Domain:       stencil.Dim3{X: 2 * *edge, Y: *edge, Z: *edge}, // edge^3 per GPU
 		Radius:       2,
 		Quantities:   4,
-		Capabilities: stencil.CapsAll(),
+		Caps:         stencil.CapsAll(),
+		NodeAware:    true,
 		NodeConfig:   &nodeCfg,
 		TraceOps:     true,
 		Telemetry:    tel,

@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "configuration: %dn/%dr/%dg domain %v radius %d quantities %d caps %s\n",
 		spec.Nodes, spec.RanksPerNode, cfg.NodeConfig.GPUs(), dim, spec.Radius, spec.Quantities, spec.Caps)
 	fmt.Fprintf(out, "subdomain grid: %v (%d subdomains)\n", dd.GridDims(), dd.NumSubdomains())
-	if !spec.TrivialPlacement {
+	if cfg.NodeAware {
 		fmt.Fprintf(out, "placement (node 0): %v, QAP cost reduction %.1f%% vs trivial\n",
 			dd.Assignment(0), dd.PlacementImprovement(0)*100)
 	}

@@ -23,7 +23,8 @@ func faultEvents(t *testing.T) string {
 		Domain:       stencil.Dim3{X: 24, Y: 24, Z: 24},
 		Radius:       1,
 		Quantities:   2,
-		Capabilities: stencil.CapsAll(),
+		Caps:         stencil.CapsAll(),
+		NodeAware:    true,
 		Fault:        sc,
 		Adaptive:     true,
 		Telemetry:    tel,

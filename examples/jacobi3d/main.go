@@ -37,7 +37,8 @@ func main() {
 		Domain:       stencil.Dim3{X: nx, Y: ny, Z: nz},
 		Radius:       1,
 		Quantities:   2, // quantity 0: temperature; quantity 1: scratch
-		Capabilities: stencil.CapsAll(),
+		Caps:         stencil.CapsAll(),
+		NodeAware:    true,
 		RealData:     true,
 	}
 	dd, err := stencil.New(cfg)

@@ -48,7 +48,8 @@ func main() {
 		Domain:       stencil.Dim3{X: n, Y: n, Z: n},
 		Radius:       1,
 		Quantities:   nq + nq, // live fields plus scratch copies
-		Capabilities: stencil.CapsAll(),
+		Caps:         stencil.CapsAll(),
+		NodeAware:    true,
 		RealData:     true,
 	}
 	dd, err := stencil.New(cfg)

@@ -15,13 +15,13 @@ import (
 
 func run(trivial bool) (*stencil.DistributedDomain, *stencil.Stats) {
 	cfg := stencil.Config{
-		Nodes:            1,
-		RanksPerNode:     6,
-		Domain:           stencil.Dim3{X: 1440, Y: 1452, Z: 700},
-		Radius:           2,
-		Quantities:       4,
-		Capabilities:     stencil.CapsAll(),
-		TrivialPlacement: trivial,
+		Nodes:        1,
+		RanksPerNode: 6,
+		Domain:       stencil.Dim3{X: 1440, Y: 1452, Z: 700},
+		Radius:       2,
+		Quantities:   4,
+		Caps:         stencil.CapsAll(),
+		NodeAware:    !trivial,
 	}
 	dd, err := stencil.New(cfg)
 	if err != nil {

@@ -19,7 +19,8 @@ func main() {
 		Domain:       stencil.Dim3{X: 1363, Y: 1363, Z: 1363},
 		Radius:       2,
 		Quantities:   4,
-		Capabilities: stencil.CapsAll(), // +remote +colo +peer +kernel
+		Caps:         stencil.CapsAll(), // +remote +colo +peer +kernel
+		NodeAware:    true,
 	}
 	dd, err := stencil.New(cfg)
 	if err != nil {

@@ -38,7 +38,8 @@ func main() {
 		Domain:       stencil.Dim3{X: n, Y: n, Z: n},
 		Radius:       r,
 		Quantities:   3, // 0: u(t-1), 1: u(t), 2: u(t+1)
-		Capabilities: stencil.CapsAll(),
+		Caps:         stencil.CapsAll(),
+		NodeAware:    true,
 		RealData:     true,
 	}
 	dd, err := stencil.New(cfg)

@@ -35,7 +35,8 @@ func main() {
 				Domain:       stencil.Dim3{X: edge, Y: edge, Z: edge},
 				Radius:       2,
 				Quantities:   4,
-				Capabilities: caps,
+				Caps:         caps,
+				NodeAware:    true,
 			})
 			if err != nil {
 				log.Fatal(err)

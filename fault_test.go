@@ -14,7 +14,8 @@ func acceptCfg(adaptive bool) Config {
 		Domain:       Dim3{X: 24, Y: 18, Z: 12},
 		Radius:       1,
 		Quantities:   2,
-		Capabilities: CapsAll(),
+		Caps:         CapsAll(),
+		NodeAware:    true,
 		RealData:     true,
 		Adaptive:     adaptive,
 	}

@@ -18,7 +18,7 @@ type FillFunc func(q, x, y, z int) float32
 // Config.RealData.
 func (dd *DistributedDomain) Fill(f FillFunc) {
 	for _, s := range dd.subs {
-		for q := 0; q < dd.cfg.Quantities; q++ {
+		for q := 0; q < dd.ex.Opts.Quantities; q++ {
 			for z := 0; z < s.Size.Z; z++ {
 				for y := 0; y < s.Size.Y; y++ {
 					for x := 0; x < s.Size.X; x++ {
@@ -48,11 +48,11 @@ func (s *Subdomain) ForEachInterior(fn func(x, y, z int)) {
 // cells outside the domain are skipped. It returns the number of mismatched
 // cells and a description of the first few.
 func (dd *DistributedDomain) VerifyHalos(f FillFunc) (bad int, detail string) {
-	d := dd.cfg.Domain
+	d := dd.ex.Opts.Domain
 	wrap := func(v, n int) int { return ((v % n) + n) % n }
 	for _, s := range dd.subs {
-		r := dd.cfg.Radius
-		for q := 0; q < dd.cfg.Quantities; q++ {
+		r := dd.ex.Opts.Radius
+		for q := 0; q < dd.ex.Opts.Quantities; q++ {
 			for z := -r; z < s.Size.Z+r; z++ {
 				for y := -r; y < s.Size.Y+r; y++ {
 					for x := -r; x < s.Size.X+r; x++ {
@@ -61,7 +61,7 @@ func (dd *DistributedDomain) VerifyHalos(f FillFunc) (bad int, detail string) {
 							continue
 						}
 						gx, gy, gz := s.Origin.X+x, s.Origin.Y+y, s.Origin.Z+z
-						if dd.cfg.OpenBoundary {
+						if dd.ex.Opts.OpenBoundary {
 							if gx < 0 || gx >= d.X || gy < 0 || gy >= d.Y || gz < 0 || gz >= d.Z {
 								continue
 							}

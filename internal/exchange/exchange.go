@@ -77,27 +77,34 @@ func CapsColo() Capabilities   { return Capabilities{Colocated: true} }
 func CapsPeer() Capabilities   { return Capabilities{Colocated: true, Peer: true} }
 func CapsAll() Capabilities    { return Capabilities{Colocated: true, Peer: true, Kernel: true} }
 
-// Options configures an Exchanger.
+// Options configures an Exchanger: one distributed stencil job. It is the
+// library's only engine configuration type (the root package exports it as
+// stencil.Config), and its zero value describes the paper's baseline:
+// remote-only transfers over the trivial linearized placement.
 type Options struct {
+	// Nodes and RanksPerNode shape the job; every node has six GPUs in the
+	// default (Summit) node configuration. RanksPerNode must divide the
+	// GPUs per node.
 	Nodes        int
 	RanksPerNode int
-	Domain       part.Dim3
-	Radius       int
-	Quantities   int
-	ElemSize     int
 
-	Caps      Capabilities
-	CUDAAware bool // remote messages use CUDAAWAREMPI instead of STAGED
-	NodeAware bool // QAP placement (true) vs trivial linearized placement
-	RealData  bool // allocate and move real bytes (small domains only)
+	// Domain is the global grid extent; Radius the stencil radius;
+	// Quantities the number of grid quantities (e.g. 4 for a fluid code).
+	Domain     part.Dim3
+	Radius     int
+	Quantities int
 
-	// FaceOnly restricts the exchange to the six face neighbors (Fig 1(a)
-	// stencils); default is the full 26-direction neighborhood.
-	FaceOnly bool
+	// ElemSize is the bytes per value; 0 defaults to 4 (single precision).
+	ElemSize int
+
+	Caps      Capabilities // zero value: remote only; CapsAll() is fully specialized
+	CUDAAware bool         // remote messages use CUDAAWAREMPI instead of STAGED
+	NodeAware bool         // QAP placement (§III-B); false is the trivial Fig 11 baseline
+	RealData  bool         // allocate and move real bytes (small domains only)
 
 	// Neighborhood selects the exchanged direction set by count: 0 (default)
 	// or 26 for the full neighborhood, 6 for faces only (Fig 1(a)), 18 for
-	// faces plus planar diagonals (Fig 1(b)). FaceOnly is shorthand for 6.
+	// faces plus planar diagonals (Fig 1(b)).
 	Neighborhood int
 
 	// OpenBoundary disables periodic wrap-around: subdomains on the domain
@@ -136,6 +143,7 @@ type Options struct {
 	// preemption hook the serving layer's job cancellation uses; it reads
 	// host state, so runs that are actually preempted are not reproducible —
 	// runs whose Preempt never fires are byte-identical to runs without it.
+	// jobspec does not serialize it.
 	Preempt func() bool
 
 	// EmpiricalPlacement derives the placement distance matrix from a
@@ -445,82 +453,111 @@ type slotKey struct {
 	iter int
 }
 
-// New builds the job: machine and runtimes, hierarchical partition, per-node
-// placement, subdomain allocation, and one plan per (subdomain, direction).
-func New(opts Options) (*Exchanger, error) {
-	if opts.Nodes < 1 || opts.RanksPerNode < 1 {
-		return nil, fmt.Errorf("exchange: %d nodes, %d ranks/node", opts.Nodes, opts.RanksPerNode)
+// nodeConfig returns the simulated node shape: NodeConfig, or Summit.
+func (o Options) nodeConfig() machine.NodeConfig {
+	if o.NodeConfig != nil {
+		return *o.NodeConfig
 	}
-	if opts.Radius < 1 || opts.Quantities < 1 || opts.ElemSize < 1 {
-		return nil, fmt.Errorf("exchange: bad stencil params r=%d q=%d e=%d", opts.Radius, opts.Quantities, opts.ElemSize)
+	return machine.SummitNode()
+}
+
+// Validate checks every rule that needs no machine, partition or placement:
+// the job shape, the neighborhood set, the option compatibility matrix, the
+// fault-recovery prerequisites and the PresetPlacement shape. New calls it
+// before building anything. Messages name options by their jobspec JSON
+// names, so serving-layer rejections name the wire fields.
+func (o Options) Validate() error {
+	if o.Nodes < 1 || o.RanksPerNode < 1 {
+		return fmt.Errorf("exchange: need at least one node and rank (nodes %d, ranks_per_node %d)", o.Nodes, o.RanksPerNode)
 	}
-	if opts.AdaptPlacement && !opts.Adaptive {
-		return nil, fmt.Errorf("exchange: AdaptPlacement requires Adaptive")
+	if o.Radius < 1 || o.Quantities < 1 || o.ElemSize < 0 {
+		return fmt.Errorf("exchange: bad stencil params radius=%d quantities=%d elem_size=%d", o.Radius, o.Quantities, o.ElemSize)
 	}
-	if opts.AdaptPlacement && opts.AggregateRemote {
-		return nil, fmt.Errorf("exchange: AdaptPlacement is incompatible with AggregateRemote (aggregated messages pin rank pairs)")
-	}
-	if opts.Overlap {
-		if opts.NoOverlap {
-			return nil, fmt.Errorf("exchange: Overlap is incompatible with NoOverlap")
-		}
-		if opts.AggregateRemote {
-			return nil, fmt.Errorf("exchange: Overlap is incompatible with AggregateRemote (aggregated messages have no per-quadrant arrival)")
-		}
-		if opts.AdaptPlacement {
-			return nil, fmt.Errorf("exchange: Overlap is incompatible with AdaptPlacement (live re-placement needs the global quiescent safe point)")
-		}
-		if opts.CUDAAware {
-			return nil, fmt.Errorf("exchange: Overlap is incompatible with CUDAAware (device-wide MPI synchronization would deadlock against gated border kernels)")
-		}
-	}
-	if opts.AdaptThreshold < 0 || opts.AdaptThreshold > 1 {
-		return nil, fmt.Errorf("exchange: AdaptThreshold %g outside [0, 1]", opts.AdaptThreshold)
-	}
-	if opts.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("exchange: CheckpointEvery %d < 0", opts.CheckpointEvery)
-	}
-	if opts.Fault != nil && opts.Fault.HasFatal() {
-		if opts.CheckpointEvery < 1 {
-			return nil, fmt.Errorf("exchange: fatal fault events (GPUFail/RankFail) require CheckpointEvery > 0")
-		}
-		if opts.AggregateRemote {
-			return nil, fmt.Errorf("exchange: fatal fault events are incompatible with AggregateRemote (aggregated messages pin rank pairs)")
-		}
-		if opts.AdaptPlacement {
-			return nil, fmt.Errorf("exchange: fatal fault events are incompatible with AdaptPlacement (recovery owns re-placement)")
-		}
-	}
-	nodeCfg := machine.SummitNode()
-	if opts.NodeConfig != nil {
-		nodeCfg = *opts.NodeConfig
-	}
-	params := machine.DefaultParams()
-	if opts.Params != nil {
-		params = *opts.Params
+	nodeCfg := o.nodeConfig()
+	if nodeCfg.Sockets < 1 || nodeCfg.GPUsPerSocket < 1 {
+		return fmt.Errorf("exchange: need at least one socket and GPU per socket (sockets %d, gpus_per_socket %d)", nodeCfg.Sockets, nodeCfg.GPUsPerSocket)
 	}
 	gpusPerNode := nodeCfg.GPUs()
-	if gpusPerNode%opts.RanksPerNode != 0 {
-		return nil, fmt.Errorf("exchange: %d GPUs/node not divisible by %d ranks/node", gpusPerNode, opts.RanksPerNode)
+	if gpusPerNode%o.RanksPerNode != 0 {
+		return fmt.Errorf("exchange: %d GPUs/node not divisible by %d ranks/node", gpusPerNode, o.RanksPerNode)
 	}
-
-	if pp := opts.PresetPlacement; pp != nil {
-		if len(pp) != opts.Nodes {
-			return nil, fmt.Errorf("exchange: PresetPlacement has %d nodes, config has %d", len(pp), opts.Nodes)
+	switch o.Neighborhood {
+	case 0, 6, 18, 26:
+	default:
+		return fmt.Errorf("exchange: neighborhood %d (want 6, 18, or 26)", o.Neighborhood)
+	}
+	if o.Overlap {
+		switch {
+		case o.NoOverlap:
+			return fmt.Errorf("exchange: overlap contradicts no_overlap")
+		case o.AggregateRemote:
+			return fmt.Errorf("exchange: overlap is incompatible with aggregate_remote (aggregated messages have no per-quadrant arrival)")
+		case o.AdaptPlacement:
+			return fmt.Errorf("exchange: overlap is incompatible with adapt_placement (live re-placement needs the global quiescent safe point)")
+		case o.CUDAAware:
+			return fmt.Errorf("exchange: overlap is incompatible with cuda_aware (device-wide MPI synchronization would deadlock against gated border kernels)")
+		}
+	}
+	if o.AdaptPlacement && !o.Adaptive {
+		return fmt.Errorf("exchange: adapt_placement requires adaptive")
+	}
+	if o.AdaptPlacement && o.AggregateRemote {
+		return fmt.Errorf("exchange: adapt_placement is incompatible with aggregate_remote (aggregated messages pin rank pairs)")
+	}
+	if o.AdaptThreshold < 0 || o.AdaptThreshold > 1 {
+		return fmt.Errorf("exchange: AdaptThreshold %g outside [0, 1]", o.AdaptThreshold)
+	}
+	if o.SendTimeout < 0 {
+		return fmt.Errorf("exchange: negative send_timeout %g", float64(o.SendTimeout))
+	}
+	if o.CheckpointEvery < 0 {
+		return fmt.Errorf("exchange: checkpoint_every %d < 0", o.CheckpointEvery)
+	}
+	if o.Fault != nil && o.Fault.HasFatal() {
+		switch {
+		case o.CheckpointEvery < 1:
+			return fmt.Errorf("exchange: scenario %q contains permanent-loss events (gpu-fail/rank-fail); set checkpoint_every > 0", o.Fault.Name)
+		case o.AggregateRemote:
+			return fmt.Errorf("exchange: permanent-loss events are incompatible with aggregate_remote (aggregated messages pin rank pairs)")
+		case o.AdaptPlacement:
+			return fmt.Errorf("exchange: permanent-loss events are incompatible with adapt_placement (recovery owns re-placement)")
+		}
+	}
+	if pp := o.PresetPlacement; pp != nil {
+		if len(pp) != o.Nodes {
+			return fmt.Errorf("exchange: PresetPlacement has %d nodes, config has %d", len(pp), o.Nodes)
 		}
 		for n, f := range pp {
 			if len(f) != gpusPerNode {
-				return nil, fmt.Errorf("exchange: PresetPlacement node %d has %d entries, want %d", n, len(f), gpusPerNode)
+				return fmt.Errorf("exchange: PresetPlacement node %d has %d entries, want %d", n, len(f), gpusPerNode)
 			}
 			seen := make([]bool, len(f))
 			for _, g := range f {
 				if g < 0 || g >= len(f) || seen[g] {
-					return nil, fmt.Errorf("exchange: PresetPlacement node %d is not a permutation: %v", n, f)
+					return fmt.Errorf("exchange: PresetPlacement node %d is not a permutation: %v", n, f)
 				}
 				seen[g] = true
 			}
 		}
 	}
+	return nil
+}
+
+// New builds the job: machine and runtimes, hierarchical partition, per-node
+// placement, subdomain allocation, and one plan per (subdomain, direction).
+func New(opts Options) (*Exchanger, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.ElemSize == 0 {
+		opts.ElemSize = 4
+	}
+	nodeCfg := opts.nodeConfig()
+	params := machine.DefaultParams()
+	if opts.Params != nil {
+		params = *opts.Params
+	}
+	gpusPerNode := nodeCfg.GPUs()
 
 	eng := sim.NewEngine()
 	eng.SetWorkers(opts.Workers)
@@ -585,19 +622,13 @@ func New(opts Options) (*Exchanger, error) {
 		groupStates:   make(map[slotKey]*groupState),
 		overlapStates: make(map[int]*overlapIterState),
 	}
-	nbhd := opts.Neighborhood
-	if opts.FaceOnly {
-		nbhd = 6
-	}
-	switch nbhd {
-	case 0, 26:
-		e.dirs = part.Directions26()
+	switch opts.Neighborhood {
 	case 6:
 		e.dirs = part.Directions6()
 	case 18:
 		e.dirs = part.Directions18()
 	default:
-		return nil, fmt.Errorf("exchange: neighborhood %d (want 6, 18, or 26)", nbhd)
+		e.dirs = part.Directions26()
 	}
 	if opts.TraceOps || tel != nil {
 		rt.OnOp = func(r cudart.OpRecord) {

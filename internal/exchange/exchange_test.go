@@ -265,9 +265,9 @@ func TestPlanCountAndBytes(t *testing.T) {
 	}
 }
 
-func TestFaceOnlyMode(t *testing.T) {
+func TestFaceNeighborhoodMode(t *testing.T) {
 	opts := smallOpts(6, CapsAll(), false)
-	opts.FaceOnly = true
+	opts.Neighborhood = 6
 	opts.RealData = false
 	e, err := New(opts)
 	if err != nil {

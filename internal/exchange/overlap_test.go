@@ -72,17 +72,18 @@ func TestOverlapGatingNeverEarly(t *testing.T) {
 	}
 }
 
-// TestOverlapValidation locks the option-compatibility matrix.
+// TestOverlapValidation locks the option-compatibility matrix; messages name
+// the options by their jobspec wire names.
 func TestOverlapValidation(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Options)
 		errSub string
 	}{
-		{"no-overlap", func(o *Options) { o.NoOverlap = true }, "NoOverlap"},
-		{"aggregate", func(o *Options) { o.AggregateRemote = true }, "AggregateRemote"},
-		{"adapt-placement", func(o *Options) { o.Adaptive = true; o.AdaptPlacement = true }, "AdaptPlacement"},
-		{"cuda-aware", func(o *Options) { o.CUDAAware = true }, "CUDAAware"},
+		{"no-overlap", func(o *Options) { o.NoOverlap = true }, "no_overlap"},
+		{"aggregate", func(o *Options) { o.AggregateRemote = true }, "aggregate_remote"},
+		{"adapt-placement", func(o *Options) { o.Adaptive = true; o.AdaptPlacement = true }, "adapt_placement"},
+		{"cuda-aware", func(o *Options) { o.CUDAAware = true }, "cuda_aware"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -34,7 +34,7 @@ func TestRandomConfigCorrectnessProperty(t *testing.T) {
 			CUDAAware:       rng.Intn(3) == 0,
 			NodeAware:       rng.Intn(2) == 0,
 			RealData:        true,
-			FaceOnly:        false, // full halos are what verifyHalos checks
+			Neighborhood:    26, // full halos are what verifyHalos checks
 			AggregateRemote: rng.Intn(2) == 0,
 			NoOverlap:       rng.Intn(4) == 0,
 		}

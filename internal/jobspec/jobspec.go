@@ -35,6 +35,7 @@ import (
 	stencil "github.com/nodeaware/stencil"
 	"github.com/nodeaware/stencil/internal/fault"
 	"github.com/nodeaware/stencil/internal/machine"
+	"github.com/nodeaware/stencil/internal/sim"
 )
 
 // Spec is one job description. The zero value is not runnable; start from
@@ -57,7 +58,7 @@ type Spec struct {
 	// Method selection.
 	Caps               string `json:"caps,omitempty"` // remote|colo|peer|kernel; "" or "all" → kernel
 	CUDAAware          bool   `json:"cuda_aware,omitempty"`
-	TrivialPlacement   bool   `json:"trivial_placement,omitempty"`
+	TrivialPlacement   bool   `json:"trivial_placement,omitempty"` // Config: NodeAware = !TrivialPlacement
 	AggregateRemote    bool   `json:"aggregate_remote,omitempty"`
 	NoOverlap          bool   `json:"no_overlap,omitempty"`
 	Overlap            bool   `json:"overlap,omitempty"`
@@ -228,33 +229,16 @@ func (s *Spec) Normalize() error {
 }
 
 // Validate normalizes a copy and checks everything that can be checked
-// without building the engine: field ranges, the scenario's static rules,
-// and the stencil.Config invariants.
+// without building the engine: the wire-level fields (domain and caps
+// spellings, run length, deadline, tenant, the scenario's static rules)
+// here, and every engine rule through stencil.Config.Validate.
 func (s *Spec) Validate() error {
 	c := *s
 	if err := c.Normalize(); err != nil {
 		return err
 	}
-	if c.Nodes < 1 || c.RanksPerNode < 1 {
-		return fmt.Errorf("jobspec: need at least one node and rank")
-	}
-	if c.Sockets < 1 || c.GPUsPerSocket < 1 {
-		return fmt.Errorf("jobspec: need at least one socket and GPU per socket")
-	}
-	gpus := c.Sockets * c.GPUsPerSocket
-	if gpus%c.RanksPerNode != 0 {
-		return fmt.Errorf("jobspec: %d GPUs/node not divisible by %d ranks/node", gpus, c.RanksPerNode)
-	}
-	switch c.Neighborhood {
-	case 6, 18, 26:
-	default:
-		return fmt.Errorf("jobspec: neighborhood %d (want 6, 18, or 26)", c.Neighborhood)
-	}
 	if c.Iters < 1 {
 		return fmt.Errorf("jobspec: iters %d < 1", c.Iters)
-	}
-	if c.SendTimeout < 0 {
-		return fmt.Errorf("jobspec: negative send_timeout %g", c.SendTimeout)
 	}
 	if c.DeadlineSeconds < 0 {
 		return fmt.Errorf("jobspec: negative deadline_s %g", c.DeadlineSeconds)
@@ -262,26 +246,9 @@ func (s *Spec) Validate() error {
 	if err := ValidTenant(c.Tenant); err != nil {
 		return err
 	}
-	// The overlap pipeline's compatibility matrix (mirrors exchange.New) so
-	// bad specs are rejected at admission, not at engine-build time.
-	if c.Overlap {
-		switch {
-		case c.NoOverlap:
-			return fmt.Errorf("jobspec: overlap contradicts no_overlap")
-		case c.AggregateRemote:
-			return fmt.Errorf("jobspec: overlap is incompatible with aggregate_remote")
-		case c.AdaptPlacement:
-			return fmt.Errorf("jobspec: overlap is incompatible with adapt_placement")
-		case c.CUDAAware:
-			return fmt.Errorf("jobspec: overlap is incompatible with cuda_aware")
-		}
-	}
 	if c.Scenario != nil {
 		if err := c.Scenario.Validate(); err != nil {
 			return err
-		}
-		if c.Scenario.HasFatal() && c.CheckpointEvery < 1 {
-			return fmt.Errorf("jobspec: scenario %q contains permanent-loss events; set checkpoint_every > 0", c.Scenario.Name)
 		}
 	}
 	cfg, err := c.Config()
@@ -315,9 +282,9 @@ func (s *Spec) Config() (stencil.Config, error) {
 		Radius:             c.Radius,
 		Quantities:         c.Quantities,
 		ElemSize:           c.ElemSize,
-		Capabilities:       caps,
+		Caps:               caps,
 		CUDAAware:          c.CUDAAware,
-		TrivialPlacement:   c.TrivialPlacement,
+		NodeAware:          !c.TrivialPlacement,
 		RealData:           c.Verify,
 		Neighborhood:       c.Neighborhood,
 		OpenBoundary:       c.OpenBoundary,
@@ -331,7 +298,7 @@ func (s *Spec) Config() (stencil.Config, error) {
 		Adaptive:           c.Adaptive,
 		AdaptPlacement:     c.AdaptPlacement,
 		CheckpointEvery:    c.CheckpointEvery,
-		SendTimeout:        c.SendTimeout,
+		SendTimeout:        sim.Time(c.SendTimeout),
 		SendRetries:        c.SendRetries,
 		Reliable:           c.Reliable,
 		VerifyExchange:     c.VerifyExchange,

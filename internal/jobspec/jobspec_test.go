@@ -244,3 +244,68 @@ func TestNormalizeIdempotent(t *testing.T) {
 		t.Errorf("canonical bytes unstable:\n%s\n%s", c1, c2)
 	}
 }
+
+// The content addresses of journaled and spilled jobs must not move when the
+// Go config they decode into changes: face_only and trivial_placement stay
+// wire aliases, folded without touching Canonical. These digests were
+// computed before stencil.Config became exchange.Options; a change here
+// orphans every journal and spilled cache written earlier.
+func TestHashesPinned(t *testing.T) {
+	base := func() *Spec { return &Spec{Nodes: 2, RanksPerNode: 2, Domain: "48", Radius: 1, Quantities: 2} }
+	face, trivial := base(), base()
+	face.FaceOnly = true
+	trivial.TrivialPlacement = true
+	cases := []struct {
+		name        string
+		spec        *Spec
+		hash, setup string
+	}{
+		{"plain", base(),
+			"3131bd59fe69f48119fc81a133ad508a7d531c001c6f1693ce5d722a2ac14a9e",
+			"fd1e40d78d402f3cd00288183d70696dbcc6208736c412c32a12d874d196b750"},
+		{"face_only", face,
+			"84c52a06605e94a35fb632baedb046b09cb727415e60bbe30617867bf8f7d81c",
+			"3c4a50310668a25e2a1b60c43b4c9b2705e4ea16a552a07e5080cabfe9a3c7b5"},
+		{"trivial_placement", trivial,
+			"3ce00c76f8ffdaf732a1ffffbeb72e284e5f65575729338f34a1bb577180658f",
+			"8522442316b4a9dde68e19f02111a82df84f9751f3fd118b58bcc8008277ca70"},
+		{"caps all, domain 96", &Spec{Nodes: 1, RanksPerNode: 6, Domain: "96", Radius: 2, Quantities: 4, Caps: "all"},
+			"51a2fabc2f71e73b6b28f5a8ce9a9500e7719da6bb7fb9aeca4f6b16d5b0285c",
+			"b5c2389ffd4ccf39543a358a29ccbd93be873d3f1ebdb79b587fe280c1c6db22"},
+	}
+	for _, tc := range cases {
+		if got := mustHash(t, tc.spec); got != tc.hash {
+			t.Errorf("%s: Hash = %s, want %s", tc.name, got, tc.hash)
+		}
+		if got := mustSetupHash(t, tc.spec); got != tc.setup {
+			t.Errorf("%s: SetupHash = %s, want %s", tc.name, got, tc.setup)
+		}
+	}
+}
+
+// Config folds the wire aliases into the engine config: face_only becomes
+// Neighborhood 6 and trivial_placement clears NodeAware, so a spec that sets
+// neither gets the node-aware placement over the full neighborhood.
+func TestConfigWireAliases(t *testing.T) {
+	cases := []struct {
+		faceOnly, trivial bool
+		neighborhood      int
+		nodeAware         bool
+	}{
+		{false, false, 26, true},
+		{true, false, 6, true},
+		{false, true, 26, false},
+	}
+	for _, tc := range cases {
+		s := &Spec{Nodes: 1, RanksPerNode: 6, Domain: "12", Radius: 1, Quantities: 1,
+			FaceOnly: tc.faceOnly, TrivialPlacement: tc.trivial}
+		cfg, err := s.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Neighborhood != tc.neighborhood || cfg.NodeAware != tc.nodeAware {
+			t.Errorf("face_only=%v trivial_placement=%v: Neighborhood %d NodeAware %v, want %d %v",
+				tc.faceOnly, tc.trivial, cfg.Neighborhood, cfg.NodeAware, tc.neighborhood, tc.nodeAware)
+		}
+	}
+}

@@ -294,8 +294,8 @@ func TestReplicationEpochResync(t *testing.T) {
 	}
 	runOne(4)
 	waitFor(t, 15*time.Second, "post-compaction resync", func() bool {
-		st := fol.Stats()
-		return st.Epoch == prim.JournalStats().Epoch && st.Applied == prim.JournalStats().SyncedBytes
+		st, pst := fol.Stats(), prim.JournalStats()
+		return st.Epoch == pst.Epoch && pst.SyncedBytes == pst.Size && st.Applied == pst.SyncedBytes
 	})
 	st := fol.Stats()
 	if st.Snapshots < 1 {

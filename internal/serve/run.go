@@ -150,7 +150,7 @@ func runJob(spec *jobspec.Spec, specHash string, preset [][]int, preempt func() 
 	for m, c := range dd.MethodBreakdown() {
 		res.Methods[m.String()] = c
 	}
-	if !cfg.TrivialPlacement {
+	if cfg.NodeAware {
 		res.PlacementImprovement = dd.PlacementImprovement(0)
 	}
 	if d := stats.Delivery; d != (mpi.Stats{}) {

@@ -573,11 +573,12 @@ func (s *Server) worker() {
 // in-flight release — every completion path funnels through here so no exit
 // leaks a quota slot or a journal state. stored, when non-nil, is the
 // tenant's stored-bytes total after this job's spill, piggybacked onto the
-// record for quota persistence.
+// record for quota persistence. The record is appended before apply wakes
+// Job.Wait, so a waiter that returns finds the terminal record journaled.
 func (s *Server) finalize(j *Job, rec string, stored *int64, apply func(now time.Time)) {
 	now := s.now()
-	apply(now)
 	s.journalAppend(journalRecord{Rec: rec, Job: j.ID, SpecHash: j.Hash, Tenant: j.Tenant, Stored: stored, UnixNano: now.UnixNano()})
+	apply(now)
 	s.quotas.release(j.Tenant, now)
 }
 

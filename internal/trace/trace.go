@@ -88,9 +88,9 @@ func (t *Timeline) ComputeStats() Stats {
 	return s
 }
 
-// chromeEvent is one Chrome trace-event ("X" complete events, microsecond
-// timestamps).
-type chromeEvent struct {
+// ChromeEvent is one Chrome trace-event: an "X" complete event, a "C"
+// counter sample or an "M" metadata record, with microsecond timestamps.
+type ChromeEvent struct {
 	Name  string         `json:"name"`
 	Cat   string         `json:"cat"`
 	Phase string         `json:"ph"`
@@ -125,9 +125,9 @@ func (t *Timeline) WriteChromeTrace(w io.Writer, tracks ...CounterTrack) error {
 			start = tr.Times[0]
 		}
 	}
-	events := make([]chromeEvent, 0, len(t.Ops))
+	events := make([]ChromeEvent, 0, len(t.Ops))
 	for _, op := range t.Ops {
-		events = append(events, chromeEvent{
+		events = append(events, ChromeEvent{
 			Name:  op.Name,
 			Cat:   op.Kind.String(),
 			Phase: "X",
@@ -139,7 +139,7 @@ func (t *Timeline) WriteChromeTrace(w io.Writer, tracks ...CounterTrack) error {
 		})
 	}
 	if len(tracks) > 0 {
-		events = append(events, chromeEvent{
+		events = append(events, ChromeEvent{
 			Name:  "process_name",
 			Phase: "M",
 			PID:   counterPID,
@@ -147,7 +147,7 @@ func (t *Timeline) WriteChromeTrace(w io.Writer, tracks ...CounterTrack) error {
 		})
 		for _, tr := range tracks {
 			for i, ts := range tr.Times {
-				events = append(events, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name:  tr.Name,
 					Cat:   "counter",
 					Phase: "C",
@@ -158,8 +158,14 @@ func (t *Timeline) WriteChromeTrace(w io.Writer, tracks ...CounterTrack) error {
 			}
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
+	return WriteChromeEvents(w, events)
+}
+
+// WriteChromeEvents encodes events as a Chrome trace-event JSON document,
+// {"traceEvents": [...]}, loadable in chrome://tracing or
+// https://ui.perfetto.dev.
+func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
+	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": events})
 }
 
 // Glyphs maps op kinds to ASCII-chart glyphs. Every cudart.OpKind must have

@@ -25,7 +25,8 @@ func overlapCfg(workers int) Config {
 		Domain:       Dim3{X: 24, Y: 24, Z: 12},
 		Radius:       1,
 		Quantities:   2,
-		Capabilities: CapsAll(),
+		Caps:         CapsAll(),
+		NodeAware:    true,
 		RealData:     true,
 		Workers:      workers,
 	}
@@ -107,7 +108,7 @@ func TestOverlapEquivalence(t *testing.T) {
 		{"clean-compute", nil, overlapInc},
 		{"exchange-only", nil, nil},
 		{"open-boundary", func(cfg *Config) { cfg.OpenBoundary = true }, overlapInc},
-		{"face-only", func(cfg *Config) { cfg.FaceOnly = true }, overlapInc},
+		{"face-only", func(cfg *Config) { cfg.Neighborhood = 6 }, overlapInc},
 		{"radius-2", func(cfg *Config) { cfg.Radius = 2 }, overlapInc},
 		{"lossy-compute", lossy, overlapInc},
 		{"lossy-exchange-only", lossy, nil},
@@ -196,7 +197,7 @@ func TestOverlapCapsLadder(t *testing.T) {
 		rung := rung
 		t.Run(rung.name, func(t *testing.T) {
 			base := overlapCfg(0)
-			base.Capabilities = rung.caps
+			base.Caps = rung.caps
 			offCfg, onCfg := base, base
 			onCfg.Overlap = true
 			ref, _ := overlapEquivRun(t, offCfg, overlapInc, overlapIters)
@@ -270,18 +271,20 @@ func TestOverlapEquivalenceQuick(t *testing.T) {
 	}
 	prop := func(seed uint8, faceOnly, open, lossy bool) bool {
 		cfg := overlapCfg(0)
-		cfg.FaceOnly = faceOnly
+		if faceOnly {
+			cfg.Neighborhood = 6
+		}
 		cfg.OpenBoundary = open
 		cfg.Radius = 1 + int(seed%2)
 		switch seed % 4 {
 		case 0:
-			cfg.Capabilities = CapsRemote()
+			cfg.Caps = CapsRemote()
 		case 1:
-			cfg.Capabilities = CapsColo()
+			cfg.Caps = CapsColo()
 		case 2:
-			cfg.Capabilities = CapsPeer()
+			cfg.Caps = CapsPeer()
 		default:
-			cfg.Capabilities = CapsAll()
+			cfg.Caps = CapsAll()
 		}
 		if lossy {
 			sc := &FaultScenario{Name: "overlap-quick", Seed: uint64(seed) + 1}

@@ -24,12 +24,10 @@ package stencil
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"github.com/nodeaware/stencil/internal/exchange"
 	"github.com/nodeaware/stencil/internal/fault"
-	"github.com/nodeaware/stencil/internal/machine"
 	"github.com/nodeaware/stencil/internal/part"
 	"github.com/nodeaware/stencil/internal/sim"
 	"github.com/nodeaware/stencil/internal/telemetry"
@@ -101,226 +99,26 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 // PlanInfo is an inspection snapshot of one transfer plan.
 type PlanInfo = exchange.PlanInfo
 
-// Config describes a distributed stencil job.
-type Config struct {
-	// Nodes and RanksPerNode shape the job; every node has six GPUs in the
-	// default (Summit) node configuration. RanksPerNode must divide the
-	// GPUs per node.
-	Nodes        int
-	RanksPerNode int
-
-	// Domain is the global grid extent; Radius the stencil radius;
-	// Quantities the number of grid quantities (e.g. 4 for a fluid code).
-	Domain     Dim3
-	Radius     int
-	Quantities int
-
-	// ElemSize is the bytes per value; 0 defaults to 4 (single precision).
-	ElemSize int
-
-	// Capabilities gates the transfer methods; use CapsAll() for the fully
-	// specialized exchange.
-	Capabilities Capabilities
-
-	// CUDAAware routes remote messages through CUDA-aware MPI instead of
-	// staging through the host.
-	CUDAAware bool
-
-	// TrivialPlacement disables the node-aware QAP placement (the Fig 11
-	// baseline). Default (false) is node-aware.
-	TrivialPlacement bool
-
-	// RealData allocates backing memory and moves real bytes; required for
-	// numeric verification, affordable only for small domains.
-	RealData bool
-
-	// FaceOnly exchanges only the six face neighbors (Fig 1(a) stencils).
-	FaceOnly bool
-
-	// Neighborhood selects the exchanged direction set by count: 0 or 26 for
-	// the full neighborhood, 6 for faces only (Fig 1(a)), 18 for faces plus
-	// planar diagonals (Fig 1(b)).
-	Neighborhood int
-
-	// OpenBoundary disables periodic wrap-around: subdomains at the domain
-	// edge have no neighbor there and their outer halos are left untouched
-	// (suitable for Dirichlet/Neumann conditions applied by the
-	// application).
-	OpenBoundary bool
-
-	// AggregateRemote combines each rank pair's inter-node STAGED messages
-	// into a single MPI message per exchange (fewer, larger messages).
-	AggregateRemote bool
-
-	// NoOverlap serializes all transfers (ablation of the §III-D overlap
-	// machinery).
-	NoOverlap bool
-
-	// Overlap enables compute/communication overlap via persistent exchange
-	// plans: interior compute runs while halos are in flight, and each
-	// subdomain's border update is gated per-quadrant on the verified
-	// arrival of exactly the halos it reads, replacing the global
-	// verification barrier. Final domain bytes are identical to a
-	// non-overlapped run. Incompatible with NoOverlap, AggregateRemote,
-	// AdaptPlacement, and CUDAAware.
-	Overlap bool
-
-	// Preempt, when set, is polled between iterations; when it returns true
-	// the run stops early at the next iteration boundary (see Preempted).
-	// Used for cooperative job cancellation; not serialized by jobspec.
-	Preempt func() bool
-
-	// EmpiricalPlacement drives the QAP with a congestion-aware bandwidth
-	// measurement pass instead of the vendor topology query.
-	EmpiricalPlacement bool
-
-	// FairnessHorizon bounds bandwidth-rebalance propagation in the flow
-	// network: 0 = automatic (exact up to 32 nodes), negative = force
-	// exact, positive = explicit hop bound.
-	FairnessHorizon int
-
-	// NodeConfig and Params override the simulated hardware; nil uses the
-	// Summit node and the calibrated default cost model.
-	NodeConfig *machine.NodeConfig
-	Params     *machine.Params
-
-	// PresetPlacement injects a cached phase-2 placement (one subdomain→GPU
-	// permutation per node, as returned by Assignment(n)), skipping the QAP
-	// solve. The solver is deterministic, so a preset recorded from an
-	// identical configuration reproduces that run bit-exactly; stencilserve
-	// uses this to share setup work across jobs that differ only in
-	// scenario or run length. Nil computes placement normally.
-	PresetPlacement [][]int
-
-	// TraceOps records a timeline of every simulated CUDA operation.
-	TraceOps bool
-
-	// Fault installs a deterministic fault/degradation scenario on the
-	// virtual clock; see FaultScenario. Nil disables injection.
-	Fault *FaultScenario
-
-	// Adaptive enables degradation-aware re-specialization: a health
-	// monitor observes link state between iterations and re-runs phase-3
-	// method selection for plans whose path failed or degraded, promoting
-	// them back on recovery.
-	Adaptive bool
-
-	// AdaptThreshold is the link-health fraction below which a link counts
-	// as degraded (0 defaults to 0.5); AdaptCheckEvery runs the monitor
-	// every N iterations (0 defaults to 1).
-	AdaptThreshold  float64
-	AdaptCheckEvery int
-
-	// AdaptPlacement additionally re-runs phase-2 placement against the
-	// degraded bandwidth matrix when a node's degradation persists for
-	// AdaptPersistTicks monitor ticks (0 defaults to 3), migrating
-	// subdomains whose GPU changes. Requires Adaptive; incompatible with
-	// AggregateRemote.
-	AdaptPlacement    bool
-	AdaptPersistTicks int
-
-	// CheckpointEvery > 0 snapshots every subdomain to host memory every K
-	// iterations (and once before the first) as real D2H traffic, and
-	// enables recovery from permanent GPU/rank loss (Fault scenarios with
-	// KillGPU/KillRank): on detection, every surviving rank rolls back to
-	// the last checkpoint, lost subdomains migrate to surviving GPUs, and
-	// the run replays — final results are byte-identical to a fault-free
-	// run. Required when the scenario contains fatal events. 0 disables.
-	CheckpointEvery int
-
-	// SendTimeout (seconds of virtual time) enables MPI-level retry: a
-	// wire transfer still in flight after the timeout is aborted and
-	// re-sent, up to SendRetries attempts (0 defaults to 8). 0 disables.
-	SendTimeout float64
-	SendRetries int
-
-	// Reliable forces the MPI reliable-delivery envelope for inter-node
-	// messages (per-message checksums, sequence numbers, receiver dedup,
-	// ACK/NACK with capped exponential-backoff retransmission) even on a
-	// clean network. A Fault scenario containing delivery faults
-	// (DropMsgs/CorruptMsgs/DupMsgs/LossyNIC) arms it automatically.
-	Reliable bool
-
-	// VerifyExchange enables end-to-end halo verification: per-quadrant
-	// checksums compared across the inter-node wire after each exchange,
-	// with damaged quadrants selectively re-exchanged. Auto-enabled when the
-	// Fault scenario schedules delivery faults; meaningful with RealData.
-	VerifyExchange bool
-
-	// QuarantineTicks is the clean-window hysteresis of link quarantine:
-	// a link whose health score (EWMA of fault and flap indicators) crosses
-	// the enter threshold is excluded from method selection until this many
-	// consecutive clean monitor ticks pass (0 defaults to 5), so a flapping
-	// link cannot thrash plans. Active with Adaptive when the scenario
-	// contains delivery or flap faults, or when set explicitly.
-	QuarantineTicks int
-
-	// Telemetry, when set, records metrics, link-utilization samples, phase
-	// spans, and a structured event log for the whole job; see NewTelemetry.
-	Telemetry *Telemetry
-
-	// Workers runs the engine's deferred payloads (real byte copies) on N
-	// goroutines; 0 keeps the simulation sequential. Results — including
-	// telemetry output — are bit-identical either way.
-	Workers int
-}
+// Config describes a distributed stencil job. It is the engine's options
+// type, so its zero value is the paper's baseline: remote-only transfers
+// (Caps) over the trivial placement (set NodeAware for the §III-B QAP).
+// Validate checks it without building the job.
+type Config = exchange.Options
 
 // DistributedDomain is a stencil domain decomposed across a simulated
 // multi-GPU cluster, ready to exchange halos.
 type DistributedDomain struct {
 	ex   *exchange.Exchanger
-	cfg  Config
 	subs []*Subdomain
 }
 
 // New partitions, places, and specializes the domain per the configuration.
 func New(cfg Config) (*DistributedDomain, error) {
-	if cfg.ElemSize == 0 {
-		cfg.ElemSize = 4
-	}
-	ex, err := exchange.New(exchange.Options{
-		Nodes:              cfg.Nodes,
-		RanksPerNode:       cfg.RanksPerNode,
-		Domain:             cfg.Domain,
-		Radius:             cfg.Radius,
-		Quantities:         cfg.Quantities,
-		ElemSize:           cfg.ElemSize,
-		Caps:               cfg.Capabilities,
-		CUDAAware:          cfg.CUDAAware,
-		NodeAware:          !cfg.TrivialPlacement,
-		RealData:           cfg.RealData,
-		FaceOnly:           cfg.FaceOnly,
-		Neighborhood:       cfg.Neighborhood,
-		OpenBoundary:       cfg.OpenBoundary,
-		AggregateRemote:    cfg.AggregateRemote,
-		NoOverlap:          cfg.NoOverlap,
-		Overlap:            cfg.Overlap,
-		Preempt:            cfg.Preempt,
-		EmpiricalPlacement: cfg.EmpiricalPlacement,
-		FairnessHorizon:    cfg.FairnessHorizon,
-		NodeConfig:         cfg.NodeConfig,
-		Params:             cfg.Params,
-		PresetPlacement:    cfg.PresetPlacement,
-		TraceOps:           cfg.TraceOps,
-		Fault:              cfg.Fault,
-		Adaptive:           cfg.Adaptive,
-		AdaptThreshold:     cfg.AdaptThreshold,
-		AdaptCheckEvery:    cfg.AdaptCheckEvery,
-		AdaptPlacement:     cfg.AdaptPlacement,
-		AdaptPersistTicks:  cfg.AdaptPersistTicks,
-		CheckpointEvery:    cfg.CheckpointEvery,
-		SendTimeout:        sim.Time(cfg.SendTimeout),
-		SendRetries:        cfg.SendRetries,
-		Reliable:           cfg.Reliable,
-		VerifyExchange:     cfg.VerifyExchange,
-		QuarantineTicks:    cfg.QuarantineTicks,
-		Telemetry:          cfg.Telemetry,
-		Workers:            cfg.Workers,
-	})
+	ex, err := exchange.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	dd := &DistributedDomain{ex: ex, cfg: cfg}
+	dd := &DistributedDomain{ex: ex}
 	for _, s := range ex.Subs {
 		origin, size := ex.Hier.Subdomain(s.NodeIdx, s.GPUIdx)
 		dd.subs = append(dd.subs, &Subdomain{sub: s, Origin: origin, Size: size, dd: dd})
@@ -459,23 +257,6 @@ func (dd *DistributedDomain) Step(steps int, compute ComputeFunc) *Stats {
 		}
 		panic("stencil: compute on unknown subdomain")
 	})
-}
-
-// Validate checks the configuration without building the job.
-func (cfg Config) Validate() error {
-	if cfg.ElemSize == 0 {
-		cfg.ElemSize = 4
-	}
-	if cfg.Nodes < 1 || cfg.RanksPerNode < 1 {
-		return fmt.Errorf("stencil: need at least one node and rank")
-	}
-	if cfg.Radius < 1 {
-		return fmt.Errorf("stencil: radius must be >= 1")
-	}
-	if cfg.Quantities < 1 {
-		return fmt.Errorf("stencil: need at least one quantity")
-	}
-	return nil
 }
 
 // VirtualTime returns the current simulated clock of the underlying engine,

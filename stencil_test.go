@@ -12,7 +12,8 @@ func smallConfig() Config {
 		Domain:       Dim3{X: 24, Y: 18, Z: 12},
 		Radius:       1,
 		Quantities:   1,
-		Capabilities: CapsAll(),
+		Caps:         CapsAll(),
+		NodeAware:    true,
 		RealData:     true,
 	}
 }
@@ -88,7 +89,8 @@ func TestPlacementImprovementExposed(t *testing.T) {
 		Domain:       Dim3{X: 1440, Y: 1452, Z: 700},
 		Radius:       2,
 		Quantities:   4,
-		Capabilities: CapsAll(),
+		Caps:         CapsAll(),
+		NodeAware:    true,
 	}
 	dd, err := New(cfg)
 	if err != nil {
@@ -129,7 +131,8 @@ func TestJacobiConvergence(t *testing.T) {
 		Domain:       Dim3{X: nx, Y: ny, Z: nz},
 		Radius:       1,
 		Quantities:   2, // 0: current, 1: next
-		Capabilities: CapsAll(),
+		Caps:         CapsAll(),
+		NodeAware:    true,
 		RealData:     true,
 	}
 	dd, err := New(cfg)

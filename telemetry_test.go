@@ -19,7 +19,8 @@ func telemetryConfig(tel *stencil.Telemetry) stencil.Config {
 		Domain:       stencil.Dim3{X: 24, Y: 24, Z: 24},
 		Radius:       1,
 		Quantities:   2,
-		Capabilities: stencil.CapsAll(),
+		Caps:         stencil.CapsAll(),
+		NodeAware:    true,
 		Fault:        sc,
 		Adaptive:     true,
 		Telemetry:    tel,
@@ -118,7 +119,8 @@ func TestTelemetryParallelWorkers(t *testing.T) {
 			Domain:       stencil.Dim3{X: 24, Y: 24, Z: 24},
 			Radius:       1,
 			Quantities:   2,
-			Capabilities: stencil.CapsAll(),
+			Caps:         stencil.CapsAll(),
+			NodeAware:    true,
 			RealData:     true,
 			Fault:        sc,
 			Adaptive:     true,
